@@ -712,12 +712,20 @@ func TestPartitionZeroPorts(t *testing.T) {
 	if sys.M != 0 || sys.N != 6 {
 		t.Fatalf("system %d/%d", sys.M, sys.N)
 	}
-	model, _, err := Reduce(sys, Options{FMax: 1})
+	model, stats, err := Reduce(sys, Options{FMax: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.M != 0 {
-		t.Fatal("portless model has ports")
+	// No ports means every residue is zero: the exact model is empty and
+	// the transforms are skipped.
+	if model.M != 0 || model.K() != 0 || model.A.R != 0 || model.B.R != 0 || model.R.R != 0 {
+		t.Fatalf("portless model has %d ports and %d poles, want the empty model", model.M, model.K())
+	}
+	if stats.EarlyOut == "" || stats.Internal != 6 || stats.Solves != 0 || stats.LambdaC <= 0 {
+		t.Fatalf("stats %+v: want a recorded early out with the cutoff and no solves", stats)
+	}
+	if _, _, err := Reduce(sys, Options{FMax: 1, Tol: 2}); err == nil {
+		t.Error("portless system accepted Tol = 2")
 	}
 }
 

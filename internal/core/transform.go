@@ -167,6 +167,9 @@ type Stats struct {
 	BasisColumns  int `json:"basis_columns,omitempty"`
 	BasisKept     int `json:"basis_kept,omitempty"`
 	PortClusters  int `json:"port_clusters,omitempty"`
+	// EarlyOut, when non-empty, says why the reduction returned its
+	// model without running the transforms (a system with no ports).
+	EarlyOut string `json:"early_out,omitempty"`
 	// Recoveries lists every recovery ladder that fired during the
 	// reduction, with the perturbation applied (Gamma) and its worst-case
 	// DC admittance error bound (ErrBound) where applicable. An empty list
@@ -276,6 +279,9 @@ func ReduceContext(ctx context.Context, sys *System, opts Options) (*ReducedMode
 	if opts.FMax <= 0 {
 		return nil, nil, fmt.Errorf("core: Options.FMax must be positive, got %g", opts.FMax)
 	}
+	if sys.M == 0 {
+		return reduceNoPorts(sys, opts)
+	}
 	t, stats, err := Transform1Context(ctx, sys, opts)
 	if err != nil {
 		return nil, nil, err
@@ -289,6 +295,24 @@ func ReduceContext(ctx context.Context, sys *System, opts Options) (*ReducedMode
 	if err != nil {
 		return nil, nil, err
 	}
+	return model, stats, nil
+}
+
+// reduceNoPorts answers a system without ports. Its admittance is the
+// empty 0×0 matrix and every residue is zero, so the exact reduced model
+// has no ports and no poles: Transform 1 and the pole analysis are
+// skipped, and Stats.EarlyOut records why.
+func reduceNoPorts(sys *System, opts Options) (*ReducedModel, *Stats, error) {
+	if opts.Tol <= 0 || opts.Tol >= 1 {
+		return nil, nil, fmt.Errorf("core: Options.Tol must be in (0,1), got %g", opts.Tol)
+	}
+	stats := &Stats{
+		Internal: sys.N,
+		CutoffHz: CutoffFrequency(opts.FMax, opts.Tol),
+		EarlyOut: "no ports: the reduced model is empty",
+	}
+	stats.LambdaC = LambdaCutoff(stats.CutoffHz)
+	model := &ReducedModel{A: dense.New(0, 0), B: dense.New(0, 0), R: dense.New(0, 0)}
 	return model, stats, nil
 }
 

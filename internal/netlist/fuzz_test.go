@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,16 +54,30 @@ func FuzzParseValue(f *testing.F) {
 	})
 }
 
-// FuzzTokenize guards the card tokenizer against pathological input.
+// FuzzTokenize guards the card tokenizer against pathological input:
+// tokens never hold white space, and the ASCII fast path splits every
+// card exactly as the general rune path does.
 func FuzzTokenize(f *testing.F) {
 	f.Add("v1 a 0 pulse(0 5, 1n)")
 	f.Add("((((")
+	f.Add("r1 n1 n2 1k")
+	f.Add("c7\tnet_3 0  2.5f\r")
+	f.Add("r1 knoten\u00e4 0 1k")       // non-ASCII node name
+	f.Add("r1 a\u00a0b 0 1k")           // non-ASCII space (U+00A0)
+	f.Add("r1 a\u0085b 0 1k")           // NEL, a Unicode space
+	f.Add("r1 a\xff\xfeb 0 1k")         // invalid UTF-8: the rune path writes U+FFFD
+	f.Add("r1 a 0 \xe2\x82")            // truncated multi-byte sequence
+	f.Add("m1 d g s b nch w=(1u) l=1u") // parentheses
+	f.Add("v1 a 0 pwl 0,0 1n,1")        // commas
 	f.Fuzz(func(t *testing.T, card string) {
 		toks := tokenize(card)
 		for _, tk := range toks {
 			if strings.ContainsAny(tk, " \t") {
 				t.Fatalf("token %q contains whitespace", tk)
 			}
+		}
+		if want := tokenizeRunes(card); !slices.Equal(toks, want) {
+			t.Fatalf("tokenize(%q) = %q, want the rune path's %q", card, toks, want)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Parse reads a SPICE deck. Following SPICE convention the first line is
@@ -398,8 +399,23 @@ func buildWave(kind string, v []float64) (Waveform, error) {
 }
 
 // tokenize splits a card into fields, separating parentheses and commas
-// into their own tokens and keeping key=value tokens intact.
+// into their own tokens and keeping key=value tokens intact. A pure
+// ASCII card without parentheses or commas — every R and C card a
+// netlister writes — is already what the rune path would rebuild, so it
+// is split in place.
 func tokenize(card string) []string {
+	for i := 0; i < len(card); i++ {
+		if c := card[i]; c >= utf8.RuneSelf || c == '(' || c == ')' || c == ',' {
+			return tokenizeRunes(card)
+		}
+	}
+	return strings.Fields(card)
+}
+
+// tokenizeRunes is tokenize's general path: it rewrites the card rune by
+// rune, padding parentheses and blanking commas, then splits on white
+// space. Invalid UTF-8 comes out as U+FFFD.
+func tokenizeRunes(card string) []string {
 	var b strings.Builder
 	for _, ch := range card {
 		switch ch {

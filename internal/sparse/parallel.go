@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -83,8 +82,7 @@ func (b *Builder) BuildPar() *CSR {
 	par.ForChunks(b.rows, buildRowChunk, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			segLo, segHi := rowCount[i], rowCount[i+1]
-			seg := rowSeg{col: col[segLo:segHi], val: val[segLo:segHi]}
-			sort.Sort(seg)
+			sortRow(col[segLo:segHi], val[segLo:segHi])
 			dst := segLo
 			for p := segLo; p < segHi; {
 				j := col[p]

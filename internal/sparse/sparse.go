@@ -89,8 +89,7 @@ func (b *Builder) Build() *CSR {
 	for i := 0; i < b.rows; i++ {
 		rowPtr[i] = dst
 		lo, hi := rowCount[i], rowCount[i+1]
-		seg := rowSeg{col: col[lo:hi], val: val[lo:hi]}
-		sort.Sort(seg)
+		sortRow(col[lo:hi], val[lo:hi])
 		for p := lo; p < hi; {
 			j := col[p]
 			sum := 0.0
@@ -107,6 +106,24 @@ func (b *Builder) Build() *CSR {
 	}
 	rowPtr[b.rows] = dst
 	return &CSR{Rows: b.rows, Cols: b.cols, RowPtr: rowPtr, Col: col[:dst:dst], Val: val[:dst:dst]}
+}
+
+// sortRow sorts one row segment by column, permuting val alongside,
+// exactly as sort.Sort(rowSeg{col, val}) does. sort.Sort runs a plain
+// insertion sort on up to 12 elements, so the short rows of a stamped
+// matrix take that same loop here without boxing the segment in an
+// interface, which costs one allocation per row.
+func sortRow(col []int, val []float64) {
+	if len(col) > 12 {
+		sort.Sort(rowSeg{col: col, val: val})
+		return
+	}
+	for i := 1; i < len(col); i++ {
+		for j := i; j > 0 && col[j] < col[j-1]; j-- {
+			col[j], col[j-1] = col[j-1], col[j]
+			val[j], val[j-1] = val[j-1], val[j]
+		}
+	}
 }
 
 type rowSeg struct {
@@ -359,7 +376,7 @@ func (a *CSR) PermuteSym(perm []int) *CSR {
 				prev = j
 			}
 			if !sorted {
-				sort.Sort(rowSeg{col: out.Col[out.RowPtr[i]:q], val: out.Val[out.RowPtr[i]:q]})
+				sortRow(out.Col[out.RowPtr[i]:q], out.Val[out.RowPtr[i]:q])
 			}
 		}
 	})

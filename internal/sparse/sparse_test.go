@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -436,5 +438,29 @@ func TestPermuteSymInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortRowMatchesSortSort pins sortRow to the permutation sort.Sort
+// produces, duplicates included: Build sums a row's duplicate columns in
+// sorted order, so any other tie order would change the bits of a
+// stamped matrix.
+func TestSortRowMatchesSortSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n <= 40; n++ {
+		for trial := 0; trial < 50; trial++ {
+			col := make([]int, n)
+			val := make([]float64, n)
+			for k := range col {
+				col[k] = rng.Intn(n/2 + 1) // many duplicate columns
+				val[k] = float64(k)        // records where each entry came from
+			}
+			wantCol, wantVal := append([]int(nil), col...), append([]float64(nil), val...)
+			sort.Sort(rowSeg{col: wantCol, val: wantVal})
+			sortRow(col, val)
+			if !slices.Equal(col, wantCol) || !slices.Equal(val, wantVal) {
+				t.Fatalf("n=%d: sortRow gave %v/%v, sort.Sort %v/%v", n, col, val, wantCol, wantVal)
+			}
+		}
 	}
 }

@@ -37,11 +37,18 @@ type Extraction struct {
 	// DroppedElements are RC cards in components not connected to any
 	// port; they cannot affect the ports and are removed.
 	DroppedElements []netlist.Element
-	// StampNs is the wall time of element classification, port
-	// detection, connectivity pruning and the (parallel) triplet
-	// stamping loop; AssembleNs covers the triplet-to-CSR builds and the
-	// port/internal partition. Together they are the front end's share
-	// of core.Stats stage accounting.
+	// DeckNodes, DeckR and DeckC count the whole input deck: its
+	// distinct non-ground nodes (len(deck.NodeNames())) and its elements
+	// whose names start with 'r' and 'c' (len(deck.ElementsOfType('r'))
+	// and 'c'). They are tallied in the interning pass, so callers need
+	// not walk the deck again.
+	DeckNodes, DeckR, DeckC int
+	// StampNs is the wall time of the node-interning pass (element
+	// classification and deck counts), port detection, connectivity
+	// pruning on node IDs and the (parallel) triplet stamping loop;
+	// AssembleNs covers the triplet-to-CSR builds and the port/internal
+	// partition. Together they are the front end's share of core.Stats
+	// stage accounting.
 	StampNs    int64
 	AssembleNs int64
 }
@@ -62,10 +69,14 @@ var errAssembleFault = errors.New("stamp: injected assembly fault")
 // connected to a resistor or capacitor and also to a device other than a
 // resistor or capacitor; ground is the implicit common node. ExtraPorts
 // lets the caller force nodes (e.g. observation points) to be ports.
+//
+// Node names are hashed once, in a single interning pass over the deck;
+// port detection, connectivity pruning and stamping then run on dense
+// node IDs.
 func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 	tStamp := time.Now()
 	ex := &Extraction{}
-	// Pre-size the classification maps, node index and triplet buffers
+	// Pre-size the element lists, the interner and the triplet buffers
 	// from the deck's element counts: growing them from zero showed up
 	// as allocation churn in the million-node profile.
 	nRC := 0
@@ -79,101 +90,99 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 	if rest := len(deck.Elements) - nRC; rest > 0 {
 		ex.OtherElements = make([]netlist.Element, 0, rest)
 	}
-	touchRC := make(map[string]bool, nRC+1)
-	touchOther := make(map[string]bool, 2*(len(deck.Elements)-nRC)+1)
+	// Intern every node: ground is ID 0, the RC elements' nodes follow in
+	// order of first appearance among the RC cards (the node order of the
+	// partitioned system), then the nodes only other devices touch. Each
+	// RC element's terminals land in terms, index-aligned with
+	// RCElements. The same pass tallies the deck counts.
+	in := newInterner(nRC/2 + 1)
+	terms := make([][2]int32, 0, nRC)
 	for _, e := range deck.Elements {
-		switch e.(type) {
-		case *netlist.Resistor, *netlist.Capacitor:
-			ex.RCElements = append(ex.RCElements, e)
-			for _, n := range e.Nodes() {
-				touchRC[n] = true
+		if name := e.Name(); name != "" {
+			switch name[0] {
+			case 'r':
+				ex.DeckR++
+			case 'c':
+				ex.DeckC++
 			}
+		}
+		switch el := e.(type) {
+		case *netlist.Resistor:
+			ex.RCElements = append(ex.RCElements, e)
+			terms = append(terms, [2]int32{in.id(el.N1), in.id(el.N2)})
+		case *netlist.Capacitor:
+			ex.RCElements = append(ex.RCElements, e)
+			terms = append(terms, [2]int32{in.id(el.N1), in.id(el.N2)})
 		default:
 			ex.OtherElements = append(ex.OtherElements, e)
-			for _, n := range e.Nodes() {
-				touchOther[n] = true
+		}
+	}
+	nRCNodes := int32(len(in.names)) // RC nodes are IDs 1..nRCNodes-1
+	isPort := make([]bool, nRCNodes)
+	for _, e := range ex.OtherElements {
+		for _, name := range e.Nodes() {
+			if id := in.id(name); id < nRCNodes {
+				isPort[id] = true
 			}
 		}
 	}
-	force := map[string]bool{}
+	ex.DeckNodes = len(in.names) - 1
 	for _, p := range extraPorts {
-		force[p] = true
-	}
-	// Node order: first appearance among RC elements; ports first.
-	index := make(map[string]int, nRC+1)
-	var portNames, internalNames []string
-	for _, e := range ex.RCElements {
-		for _, n := range e.Nodes() {
-			if n == netlist.Ground {
-				continue
-			}
-			if _, seen := index[n]; seen {
-				continue
-			}
-			index[n] = -1 // placeholder
-			if touchOther[n] || force[n] {
-				portNames = append(portNames, n)
-			} else {
-				internalNames = append(internalNames, n)
-			}
-		}
-	}
-	for _, p := range extraPorts {
-		if _, seen := index[p]; !seen {
+		id, ok := in.ids[p]
+		if !ok || id == 0 || id >= nRCNodes {
 			return nil, fmt.Errorf("stamp: requested port %q does not touch the RC network", p)
 		}
+		isPort[id] = true
 	}
-	// Drop RC components not reachable from any port or ground. Union-find
-	// over RC nodes, with ground and every port in one "anchored" group.
-	parent := make(map[string]string, nRC+1)
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
+	// Drop RC components not reachable from any port or ground:
+	// union-find over the RC node IDs, with ground and every port in one
+	// anchored set.
+	uf := newUnionFind(nRCNodes)
+	for id := int32(1); id < nRCNodes; id++ {
+		if isPort[id] {
+			uf.union(id, 0)
 		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
 	}
-	union := func(a, b string) { parent[find(a)] = find(b) }
-	for _, n := range portNames {
-		union(n, netlist.Ground)
+	for _, t := range terms {
+		uf.union(t[0], t[1])
 	}
-	for _, e := range ex.RCElements {
-		ns := e.Nodes()
-		union(ns[0], ns[1])
-	}
-	anchored := find(netlist.Ground)
-	var kept []netlist.Element
-	for _, e := range ex.RCElements {
-		if find(e.Nodes()[0]) == anchored {
-			kept = append(kept, e)
+	anchored := uf.find(0)
+	kept := 0
+	for k, e := range ex.RCElements {
+		if uf.find(terms[k][0]) == anchored {
+			ex.RCElements[kept], terms[kept] = e, terms[k]
+			kept++
 		} else {
 			ex.DroppedElements = append(ex.DroppedElements, e)
 		}
 	}
-	ex.RCElements = kept
-	keepInternal := internalNames[:0]
-	for _, n := range internalNames {
-		if find(n) == anchored {
-			keepInternal = append(keepInternal, n)
-		} else {
-			delete(index, n)
+	ex.RCElements, terms = ex.RCElements[:kept], terms[:kept]
+
+	// Ports take slots 0..m-1 and kept internal nodes m..m+n-1, each in
+	// node-ID order; ground and pruned nodes get no slot (-1).
+	m, n := 0, 0
+	for id := int32(1); id < nRCNodes; id++ {
+		if isPort[id] {
+			m++
+		} else if uf.find(id) == anchored {
+			n++
 		}
 	}
-	internalNames = keepInternal
-
-	m, n := len(portNames), len(internalNames)
-	for i, name := range portNames {
-		index[name] = i
-	}
-	for i, name := range internalNames {
-		index[name] = m + i
+	portNames := make([]string, 0, m)
+	internalNames := make([]string, 0, n)
+	slot := make([]int32, nRCNodes)
+	slot[0] = -1
+	for id := int32(1); id < nRCNodes; id++ {
+		switch {
+		case isPort[id]:
+			slot[id] = int32(len(portNames))
+			portNames = append(portNames, in.names[id])
+		case uf.find(id) == anchored:
+			slot[id] = int32(m + len(internalNames))
+			internalNames = append(internalNames, in.names[id])
+		default:
+			slot[id] = -1
+		}
 	}
 	// Stamp the element loop in parallel: fixed-size chunks of the
 	// element slice fill chunk-indexed triplet buckets (iteration-owned —
@@ -228,20 +237,19 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 			if isG {
 				r, c, v = bk.gr, bk.gc, bk.gv
 			}
-			ns := e.Nodes()
-			i, iOK := index[ns[0]]
-			j, jOK := index[ns[1]]
-			isGndI := ns[0] == netlist.Ground
-			isGndJ := ns[1] == netlist.Ground
+			a, b := terms[k][0], terms[k][1]
 			switch {
-			case isGndI && isGndJ:
+			case a == 0 && b == 0:
 				continue // both terminals grounded: no effect
-			case isGndI:
+			case a == 0:
+				j := int(slot[b])
 				r, c, v = append(r, j), append(c, j), append(v, val)
-			case isGndJ:
+			case b == 0:
+				i := int(slot[a])
 				r, c, v = append(r, i), append(c, i), append(v, val)
 			default:
-				if !iOK || !jOK {
+				i, j := int(slot[a]), int(slot[b])
+				if i < 0 || j < 0 {
 					bk.err = fmt.Errorf("stamp: internal error, unindexed node on %s", e.Name())
 					return
 				}
@@ -299,6 +307,52 @@ func Extract(deck *netlist.Deck, extraPorts ...string) (*Extraction, error) {
 	ex.InternalNames = internalNames
 	return ex, nil
 }
+
+// interner gives node names dense int32 IDs in order of first
+// appearance, with ground pre-assigned ID 0.
+type interner struct {
+	ids   map[string]int32
+	names []string // names[id] is the node name of ID id
+}
+
+func newInterner(hint int) *interner {
+	in := &interner{ids: make(map[string]int32, hint), names: make([]string, 1, hint)}
+	in.ids[netlist.Ground] = 0
+	in.names[0] = netlist.Ground
+	return in
+}
+
+// id returns name's ID, assigning the next one on first appearance.
+func (in *interner) id(name string) int32 {
+	if id, ok := in.ids[name]; ok {
+		return id
+	}
+	id := int32(len(in.names))
+	in.ids[name] = id
+	in.names = append(in.names, name)
+	return id
+}
+
+// unionFind is a disjoint-set forest over dense IDs with path halving.
+type unionFind []int32
+
+func newUnionFind(n int32) unionFind {
+	uf := make(unionFind, n)
+	for i := range uf {
+		uf[i] = int32(i)
+	}
+	return uf
+}
+
+func (uf unionFind) find(x int32) int32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
+	}
+	return x
+}
+
+func (uf unionFind) union(a, b int32) { uf[uf.find(a)] = uf.find(b) }
 
 // RealizeOptions configures unstamping.
 type RealizeOptions struct {

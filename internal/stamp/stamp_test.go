@@ -1,14 +1,17 @@
 package stamp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dense"
+	"repro/internal/netgen"
 	"repro/internal/netlist"
 )
 
@@ -368,5 +371,48 @@ m1 b a 0 0 nch w=1u l=1u
 	}
 	if len(elems) != 0 || len(internal) != 0 {
 		t.Fatal("empty network realized elements")
+	}
+}
+
+// TestZeroPortMeshEarlyOut: a pure-RC substrate mesh extracted without
+// its contacts has no ports, so every residue is zero. The reduction
+// must return the exact empty model (0 ports, 0 poles) at once and say
+// why in Stats, instead of running the pole analysis — which on this
+// 19,200-node mesh took minutes — and realization must emit nothing.
+func TestZeroPortMeshEarlyOut(t *testing.T) {
+	deck, _, err := netgen.Mesh3D(netgen.MeshOpts{NX: 40, NY: 40, NZ: 12, REdge: 630, CSurf: 30e-15, NPorts: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := Extract(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Sys.M != 0 || ex.Sys.N != 40*40*12 {
+		t.Fatalf("system %d/%d, want 0 ports and %d internal nodes", ex.Sys.M, ex.Sys.N, 40*40*12)
+	}
+	const budget = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 10*budget)
+	defer cancel()
+	start := time.Now()
+	model, stats, err := core.ReduceContext(ctx, ex.Sys, core.Options{FMax: 1e9})
+	if elapsed := time.Since(start); elapsed > budget {
+		t.Fatalf("zero-port reduction took %v, budget %v", elapsed, budget)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if model.M != 0 || model.K() != 0 {
+		t.Fatalf("model has %d ports and %d poles, want the empty model", model.M, model.K())
+	}
+	if stats.EarlyOut == "" || stats.Internal != ex.Sys.N || stats.Solves != 0 || stats.LanczosIters != 0 {
+		t.Fatalf("stats %+v: want a recorded early out and no solves or Lanczos steps", stats)
+	}
+	elems, internal, err := Realize(model, ex.PortNames, RealizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(elems) != 0 || len(internal) != 0 {
+		t.Fatalf("empty model realized %d elements and %d internal nodes", len(elems), len(internal))
 	}
 }

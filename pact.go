@@ -226,9 +226,11 @@ func ReduceDeckContext(ctx context.Context, deck *Deck, opts Options) (*Reductio
 		Sys:       ex.Sys,
 		Elapsed:   time.Since(start),
 	}
-	red.OriginalNodes = len(deck.NodeNames())
-	red.OriginalR = len(deck.ElementsOfType('r'))
-	red.OriginalC = len(deck.ElementsOfType('c'))
+	// The input deck's counts come from the extractor's interning pass;
+	// the reduced deck is small enough to count directly.
+	red.OriginalNodes = ex.DeckNodes
+	red.OriginalR = ex.DeckR
+	red.OriginalC = ex.DeckC
 	red.ReducedNodes = len(out.NodeNames())
 	red.ReducedR = len(out.ElementsOfType('r'))
 	red.ReducedC = len(out.ElementsOfType('c'))

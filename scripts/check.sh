@@ -89,9 +89,14 @@ rm -f /tmp/pactbench-service-smoke.json
 
 leg "fuzz smoke (10s per target)"
 # go test rejects a -fuzz pattern matching several targets, so run them
-# one at a time.
-for target in FuzzParse FuzzParseValue FuzzTokenize FuzzFormatValue FuzzWaveform; do
-    go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10s ./internal/netlist/
+# one at a time. Each entry is <package dir>:<target>; FuzzExtract is the
+# differential fuzz of the interned extractor against its string-keyed
+# reference.
+for spec in netlist:FuzzParse netlist:FuzzParseValue netlist:FuzzTokenize \
+    netlist:FuzzFormatValue netlist:FuzzWaveform stamp:FuzzExtract; do
+    pkg="./internal/${spec%%:*}/"
+    target="${spec#*:}"
+    go test -run "^${target}\$" -fuzz "^${target}\$" -fuzztime 10s "${pkg}"
 done
 
 CURRENT_LEG="done"
