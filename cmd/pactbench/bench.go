@@ -16,7 +16,6 @@ import (
 	"repro/internal/netgen"
 	"repro/internal/order"
 	"repro/internal/par"
-	"repro/internal/sparse"
 	"repro/internal/stamp"
 )
 
@@ -113,9 +112,9 @@ func measure(op func() error, benchtime time.Duration) (nsPerOp, allocsPerOp, by
 }
 
 // benchCases builds the benchmark set. "kernels" covers the parallelized
-// primitives (fast enough for a CI smoke run), "factor" the supernodal-
-// versus-up-looking comparison on a mesh at the paper's full-chip scale
-// (seconds per iteration), "scale" the DAG-versus-level schedule rows on
+// primitives (fast enough for a CI smoke run), "factor" the supernodal
+// kernels on a mesh at the paper's full-chip scale (seconds per
+// iteration), "scale" the DAG-scheduled factorization's scaling curve on
 // a 100k-node power grid, and "all" is everything plus end-to-end
 // experiment regenerations.
 func benchCases(set string) ([]benchCase, error) {
@@ -184,20 +183,16 @@ func kernelCases() ([]benchCase, error) {
 	}
 
 	// Factorization/solve kernels on the permuted internal conductance
-	// block of the same mesh: supernodal and up-looking factor the
-	// identical reordered matrix, and the solve pair runs the same 25
-	// right-hand sides blocked versus one column at a time.
+	// block of the same mesh, on the supernodal kernel; the solve pair
+	// runs the same 25 right-hand sides blocked versus one column at a
+	// time.
 	sym := order.Analyze(sys.D, order.MinimumDegree)
 	dperm := sys.D.PermuteSym(sym.Perm)
 	ss, err := chol.AnalyzeSuper(dperm, sym, order.SupernodeOptions{})
 	if err != nil {
 		return nil, err
 	}
-	factUp, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-	if err != nil {
-		return nil, err
-	}
-	factSuper, err := ss.Factorize(dperm)
+	factSuper, err := ss.Factorize(dperm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -219,13 +214,9 @@ func kernelCases() ([]benchCase, error) {
 			return nil
 		}},
 		{name: "chol.Factorize/mesh25/supernodal", op: func() error {
-			_, err := ss.Factorize(dperm)
+			_, err := ss.Factorize(dperm, nil)
 			return err
 		}, flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill()},
-		{name: "chol.Factorize/mesh25/uplooking", op: func() error {
-			_, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-			return err
-		}, flops: factUp.FlopEstimate()},
 		{name: "chol.SolveMulti/mesh25x25", op: func() error {
 			copy(work, rhs)
 			factSuper.SolveMulti(work, nrhs)
@@ -257,9 +248,9 @@ func kernelCases() ([]benchCase, error) {
 	}, nil
 }
 
-// factorCases pits the supernodal kernel against the up-looking baseline
-// on a mesh large enough that blocking matters: ~20k internal nodes and
-// 64 ports, above the default dispatch threshold. Iterations take
+// factorCases measures the supernodal kernels on a mesh large enough
+// that blocking matters: ~20k internal nodes and 64 ports, well above
+// the order where chol.Analyze picks the blocked kernel. Iterations take
 // seconds, so these run in the "factor"/"all" sets rather than the CI
 // "kernels" smoke set.
 func factorCases() ([]benchCase, error) {
@@ -279,11 +270,7 @@ func factorCases() ([]benchCase, error) {
 	if err != nil {
 		return nil, err
 	}
-	factUp, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-	if err != nil {
-		return nil, err
-	}
-	factSuper, err := ss.Factorize(dperm)
+	factSuper, err := ss.Factorize(dperm, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -294,32 +281,17 @@ func factorCases() ([]benchCase, error) {
 	}
 	rwork := make([]float64, len(rhs))
 
-	// Complex LDLᵀ on the same mesh at one AC point: the D + sE union
-	// pattern is analyzed once (as a frequency sweep would) and every
-	// iteration pays only the numeric panels through the precomputed
-	// supernodal routing.
-	union := sparse.PatternUnion(sys.D, sys.E)
-	symU := order.Analyze(union, order.MinimumDegree)
-	dp := sys.D.PermuteSym(symU.Perm)
-	ep := sys.E.PermuteSym(symU.Perm)
-	pat := sparse.PatternUnion(dp, ep)
-	dPos, ePos := alignPositions(pat, dp, ep)
-	sv := complex(0, 2*math.Pi*1e9)
-	val := func(p int) complex128 {
-		var v complex128
-		if q := dPos[p]; q >= 0 {
-			v += complex(dp.Val[q], 0)
-		}
-		if q := ePos[p]; q >= 0 {
-			v += sv * complex(ep.Val[q], 0)
-		}
-		return v
-	}
-	ssU, err := chol.AnalyzeSuper(pat, symU, order.SupernodeOptions{})
+	// Complex LDLᵀ on the same mesh at one AC point: the D + sE pencil
+	// is analyzed once (as a frequency sweep would) and every iteration
+	// pays only the numeric panels through the precomputed supernodal
+	// routing.
+	pen, err := chol.NewPencil(sys.D, sys.E, order.MinimumDegree)
 	if err != nil {
 		return nil, err
 	}
-	factC, err := ssU.FactorizeComplex(pat, val)
+	ssU := pen.SuperSymbolic()
+	sv := complex(0, 2*math.Pi*1e9)
+	factC, err := pen.Factorize(sv, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -359,32 +331,17 @@ func factorCases() ([]benchCase, error) {
 	}
 	tsWork := make([]float64, tsH*tsW)
 
-	// The Transform1 comparison toggles the dispatch threshold so the
-	// whole first congruence (factorization plus all port solves) runs on
-	// one kernel or the other.
-	upLooking := func(op func() error) func() error {
-		return func() error {
-			old := chol.SupernodalMinOrder
-			chol.SupernodalMinOrder = int(^uint(0) >> 1)
-			defer func() { chol.SupernodalMinOrder = old }()
-			return op()
-		}
-	}
 	return []benchCase{
 		{name: "chol.Factorize/meshL/supernodal", op: func() error {
-			_, err := ss.Factorize(dperm)
+			_, err := ss.Factorize(dperm, nil)
 			return err
 		}, flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill()},
-		{name: "chol.Factorize/meshL/uplooking", op: func() error {
-			_, err := chol.FactorizeStrategy(dperm, sym, chol.StrategyUpLooking)
-			return err
-		}, flops: factUp.FlopEstimate()},
 		{name: "core.Transform1/meshL/supernodal", op: func() error {
 			_, _, err := core.Transform1(sys, opts)
 			return err
 		}, supernodes: ss.NSuper(), fill: ss.Fill()},
 		{name: "chol.FactorizeComplex/meshL/supernodal", op: func() error {
-			_, err := ssU.FactorizeComplex(pat, val)
+			_, err := pen.Factorize(sv, nil)
 			return err
 		}, flops: 4 * ssU.FlopEstimate(), supernodes: ssU.NSuper(), fill: ssU.Fill()},
 		{name: "chol.SolveMulti/meshLx64", op: func() error {
@@ -409,21 +366,16 @@ func factorCases() ([]benchCase, error) {
 			dense.TrsmLLBelow(tsWork, tsH, tsW)
 			return nil
 		}, flops: float64(tsH-tsW) * float64(tsW) * float64(tsW)},
-		{name: "core.Transform1/meshL/uplooking", op: upLooking(func() error {
-			_, _, err := core.Transform1(sys, opts)
-			return err
-		})},
 	}, nil
 }
 
-// scaleCases measures the tentpole on a ≥100k-node power grid: the
-// DAG-scheduled supernodal factorization against the level-by-level
-// schedule at GOMAXPROCS 1/2/4/8 (each row's serial leg is the same
-// GOMAXPROCS=1 run, so the speedup column is the schedule's scaling
+// scaleCases measures the DAG-scheduled supernodal factorization of a
+// ≥100k-node power grid at GOMAXPROCS 1/2/4/8 (each row's serial leg is
+// the same GOMAXPROCS=1 run, so the speedup column is the scaling
 // curve), plus the pooled-workspace re-factorization loop whose
-// allocs_per_op column pins the steady-state allocation behavior the
-// AC sweep depends on. Setup extracts and orders the mesh once;
-// iterations pay only numeric factorization.
+// allocs_per_op column pins the steady-state allocation behavior the AC
+// sweep depends on. Setup extracts and orders the grid once; iterations
+// pay only numeric factorization.
 func scaleCases() ([]benchCase, error) {
 	deck, ports, err := netgen.PowerGrid(netgen.PowerGridPreset(100_000))
 	if err != nil {
@@ -442,23 +394,16 @@ func scaleCases() ([]benchCase, error) {
 	}
 	var cases []benchCase
 	for _, p := range []int{1, 2, 4, 8} {
-		p := p
-		for _, s := range []struct {
-			tag   string
-			sched chol.Schedule
-		}{{"dag", chol.ScheduleDAG}, {"level", chol.ScheduleLevel}} {
-			s := s
-			ws := ss.NewWorkspace()
-			cases = append(cases, benchCase{
-				name:  fmt.Sprintf("chol.FactorizeOpt/grid100k/%s/p%d", s.tag, p),
-				procs: p,
-				op: func() error {
-					_, err := ss.FactorizeOpt(dperm, s.sched, ws)
-					return err
-				},
-				flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill(),
-			})
-		}
+		ws := ss.NewWorkspace()
+		cases = append(cases, benchCase{
+			name:  fmt.Sprintf("chol.FactorizeOpt/grid100k/dag/p%d", p),
+			procs: p,
+			op: func() error {
+				_, err := ss.Factorize(dperm, ws)
+				return err
+			},
+			flops: ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill(),
+		})
 	}
 	// The repeated-refactorization loop: one workspace, real and complex
 	// passes plus a multi-RHS solve per op — the YSweep steady state.
@@ -474,49 +419,17 @@ func scaleCases() ([]benchCase, error) {
 	cases = append(cases, benchCase{
 		name: "chol.Refactorize/grid100k/pooled",
 		op: func() error {
-			f, err := ss.FactorizeOpt(dperm, chol.ScheduleDAG, wsLoop)
+			f, err := ss.Factorize(dperm, wsLoop)
 			if err != nil {
 				return err
 			}
 			f.SolveMulti(rhs, nrhs)
-			_, err = ss.FactorizeComplexOpt(dperm, val, chol.ScheduleDAG, wsLoop)
+			_, err = ss.FactorizeComplex(val, wsLoop)
 			return err
 		},
 		flops: 5 * ss.FlopEstimate(), supernodes: ss.NSuper(), fill: ss.Fill(),
 	})
 	return cases, nil
-}
-
-// alignPositions maps each stored position of the union pattern to the
-// matching position in a and b (-1 when absent), so a complex value
-// closure can assemble D + sE without per-entry searches.
-func alignPositions(pat, a, b *sparse.CSR) (aPos, bPos []int) {
-	aPos = make([]int, pat.NNZ())
-	bPos = make([]int, pat.NNZ())
-	for p := range aPos {
-		aPos[p] = -1
-		bPos[p] = -1
-	}
-	for i := 0; i < pat.Rows; i++ {
-		pa := a.RowPtr[i]
-		pb := b.RowPtr[i]
-		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-			j := pat.Col[p]
-			for pa < a.RowPtr[i+1] && a.Col[pa] < j {
-				pa++
-			}
-			if pa < a.RowPtr[i+1] && a.Col[pa] == j {
-				aPos[p] = pa
-			}
-			for pb < b.RowPtr[i+1] && b.Col[pb] < j {
-				pb++
-			}
-			if pb < b.RowPtr[i+1] && b.Col[pb] == j {
-				bPos[p] = pb
-			}
-		}
-	}
-	return aPos, bPos
 }
 
 func fillMat(m *dense.Mat, seed uint64) {

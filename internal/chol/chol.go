@@ -1,15 +1,19 @@
 // Package chol implements the sparse factorizations at the heart of the
 // PACT flow: a real Cholesky factorization LLᵀ of the internal conductance
 // matrix D (Section 3.1 of the paper), and a complex LDLᵀ factorization of
-// D + sE sharing the same symbolic structure, used to evaluate the exact
-// multiport admittance Y(s) of the unreduced network for verification.
+// the pencil D + sE sharing the same symbolic structure, used to evaluate
+// the exact multiport admittance Y(s) of the unreduced network for
+// verification and to build the multi-point shifted moments.
 //
-// Both factorizations are up-looking: row k of L is computed from the
-// elimination-tree reach of column k of the upper triangle of A, following
-// the classic CSparse scheme. No numeric pivoting is performed; D is
-// symmetric positive definite by construction (every internal node has a
-// DC path to a port), which the factorization verifies, and D + jωE is
-// diagonally dominated by D for the frequencies of interest.
+// Each factorization has two kernels: a scalar up-looking one (row k of
+// L from the elimination-tree reach of column k of the upper triangle of
+// A, the classic CSparse scheme) and the blocked supernodal one of
+// super.go. Analyze picks between them by order, in one place: small
+// patterns are faster up-looking, large ones supernodal. No numeric
+// pivoting is performed; D is symmetric positive definite by
+// construction (every internal node has a DC path to a port), which the
+// factorization verifies, and D + jωE is diagonally dominated by D for
+// the frequencies of interest.
 package chol
 
 import (
@@ -34,7 +38,7 @@ var ErrNotPositiveDefinite = errors.New("chol: matrix is not positive definite (
 // storage (diagonal first in every column), or the supernodal kernel's
 // packed dense panels. All methods dispatch transparently.
 type Factor struct {
-	L     *sparse.CSC  // simplicial storage; nil for a supernodal factor
+	l     *sparse.CSC  // simplicial storage; nil for a supernodal factor
 	super *superFactor // supernodal storage; nil for a simplicial factor
 }
 
@@ -42,7 +46,7 @@ func (f *Factor) order() int {
 	if f.super != nil {
 		return f.super.ss.sym.N
 	}
-	return f.L.Cols
+	return f.l.Cols
 }
 
 // Factorize computes the Cholesky factorization A = LLᵀ of the symmetric
@@ -50,24 +54,14 @@ func (f *Factor) order() int {
 // final order) using the symbolic analysis sym, which must have been
 // computed for the same (permuted) pattern — i.e. Analyze(...).Perm was
 // already applied by the caller, or the pattern was analyzed with
-// order.Natural. Orders at or above SupernodalMinOrder take the blocked
-// supernodal kernel; smaller ones the scalar up-looking kernel.
+// order.Natural. It is the one-shot form of Analyze followed by
+// Analysis.Factorize, so the kernel is chosen by order exactly as there.
 func Factorize(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
-	return FactorizeStrategy(a, sym, StrategyAuto)
-}
-
-// FactorizeStrategy is Factorize with an explicit kernel choice, for
-// benchmarks and the cross-check tests that pit the two kernels against
-// each other.
-func FactorizeStrategy(a *sparse.CSR, sym *order.Symbolic, strat Strategy) (*Factor, error) {
-	if strat == StrategySupernodal || (strat == StrategyAuto && a.Rows >= SupernodalMinOrder) {
-		ss, err := AnalyzeSuper(a, sym, order.SupernodeOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return ss.Factorize(a)
+	an, err := Analyze(a, sym)
+	if err != nil {
+		return nil, err
 	}
-	return factorizeUpLooking(a, sym)
+	return an.Factorize(a, nil)
 }
 
 func factorizeUpLooking(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
@@ -139,7 +133,7 @@ func factorizeUpLooking(a *sparse.CSR, sym *order.Symbolic) (*Factor, error) {
 		}
 		l.Val[sym.ColPtr[k]] = math.Sqrt(d)
 	}
-	return &Factor{L: l}, nil
+	return &Factor{l: l}, nil
 }
 
 // LSolve solves L y = b in place (b becomes y).
@@ -148,7 +142,7 @@ func (f *Factor) LSolve(b []float64) {
 		f.super.lsolve(b)
 		return
 	}
-	sparse.LowerSolveCSC(f.L, b)
+	sparse.LowerSolveCSC(f.l, b)
 }
 
 // LTSolve solves Lᵀ y = b in place.
@@ -157,7 +151,7 @@ func (f *Factor) LTSolve(b []float64) {
 		f.super.ltsolve(b)
 		return
 	}
-	sparse.LowerTransposeSolveCSC(f.L, b)
+	sparse.LowerTransposeSolveCSC(f.l, b)
 }
 
 // Solve solves A x = b in place using A = LLᵀ.
@@ -173,7 +167,7 @@ func (f *Factor) NNZ() int {
 	if f.super != nil {
 		return f.super.ss.trapNNZ
 	}
-	return f.L.NNZ()
+	return f.l.NNZ()
 }
 
 // Supernodes returns the number of supernodal panels, or 0 for a
@@ -201,8 +195,8 @@ func (f *Factor) FlopEstimate() float64 {
 		return f.super.ss.flops
 	}
 	flops := 0.0
-	for j := 0; j < f.L.Cols; j++ {
-		c := float64(f.L.ColPtr[j+1] - f.L.ColPtr[j])
+	for j := 0; j < f.l.Cols; j++ {
+		c := float64(f.l.ColPtr[j+1] - f.l.ColPtr[j])
 		flops += 2 * c * c
 	}
 	return flops
@@ -230,7 +224,7 @@ func (f *Factor) Bytes() int64 {
 		}
 		return b + f.super.scratchBytes
 	}
-	return int64(f.L.NNZ())*(8+8) + int64(len(f.L.ColPtr))*8
+	return int64(f.l.NNZ())*(8+8) + int64(len(f.l.ColPtr))*8
 }
 
 // ScratchBytes returns the transient memory of the numeric
@@ -251,9 +245,9 @@ func (f *Factor) ScratchBytes() int64 {
 // D. It shares the symbolic structure of the real Cholesky of the pattern
 // union of its real and imaginary parts.
 type ComplexFactor struct {
-	L     *sparse.CSC // row indices only; values in LVal
-	LVal  []complex128
-	D     []complex128
+	l     *sparse.CSC // simplicial row indices; values in lval
+	lval  []complex128
+	d     []complex128
 	super *superComplexFactor // supernodal storage; nil for simplicial
 }
 
@@ -261,18 +255,16 @@ func (f *ComplexFactor) order() int {
 	if f.super != nil {
 		return f.super.ss.sym.N
 	}
-	return f.L.Cols
+	return f.l.Cols
 }
 
-// FactorizeComplex computes the LDLᵀ factorization of the complex
+// factorizeComplexUpLooking is the up-looking kernel of
+// Analysis.FactorizeComplex: the LDLᵀ factorization of the complex
 // symmetric matrix with the given pattern (CSR, full symmetric pattern,
 // already permuted) and entry values supplied by the val callback, which
 // receives the position of each stored pattern entry. sym must be the
 // symbolic analysis of the same pattern.
-//
-// The intended use is A(s) = D + sE: the pattern is PatternUnion(D, E) and
-// val(p) = Dval(p) + s*Eval(p).
-func FactorizeComplex(pattern *sparse.CSR, val func(p int) complex128, sym *order.Symbolic) (*ComplexFactor, error) {
+func factorizeComplexUpLooking(pattern *sparse.CSR, val func(p int) complex128, sym *order.Symbolic) (*ComplexFactor, error) {
 	n := pattern.Rows
 	if pattern.Cols != n || sym.N != n {
 		return nil, fmt.Errorf("chol: complex dimension mismatch")
@@ -341,7 +333,7 @@ func FactorizeComplex(pattern *sparse.CSR, val func(p int) complex128, sym *orde
 		}
 		diag[k] = d
 	}
-	return &ComplexFactor{L: l, LVal: lval, D: diag}, nil
+	return &ComplexFactor{l: l, lval: lval, d: diag}, nil
 }
 
 // Solve solves A x = b in place using A = L D Lᵀ. A right-hand side of
@@ -359,19 +351,19 @@ func (f *ComplexFactor) Solve(b []complex128) error {
 	// Forward: L z = b (unit diagonal).
 	for j := 0; j < n; j++ {
 		zj := b[j]
-		for p := f.L.ColPtr[j] + 1; p < f.L.ColPtr[j+1]; p++ {
-			b[f.L.Row[p]] -= f.LVal[p] * zj
+		for p := f.l.ColPtr[j] + 1; p < f.l.ColPtr[j+1]; p++ {
+			b[f.l.Row[p]] -= f.lval[p] * zj
 		}
 	}
 	// Diagonal.
 	for j := 0; j < n; j++ {
-		b[j] /= f.D[j]
+		b[j] /= f.d[j]
 	}
 	// Backward: Lᵀ x = w.
 	for j := n - 1; j >= 0; j-- {
 		s := b[j]
-		for p := f.L.ColPtr[j] + 1; p < f.L.ColPtr[j+1]; p++ {
-			s -= f.LVal[p] * b[f.L.Row[p]]
+		for p := f.l.ColPtr[j] + 1; p < f.l.ColPtr[j+1]; p++ {
+			s -= f.lval[p] * b[f.l.Row[p]]
 		}
 		b[j] = s
 	}

@@ -40,6 +40,26 @@ func randomSPD(rng *rand.Rand, n, extra int) *sparse.CSR {
 	return b.Build()
 }
 
+// factorizeKernel factors a on the chosen kernel through analyze: the
+// entry point the kernel cross-checks use to pit the up-looking and the
+// supernodal kernel against each other on one pattern.
+func factorizeKernel(a *sparse.CSR, sym *order.Symbolic, supernodal bool) (*Factor, error) {
+	an, err := analyze(a, sym, supernodal)
+	if err != nil {
+		return nil, err
+	}
+	return an.Factorize(a, nil)
+}
+
+// factorizeComplexKernel is factorizeKernel for the complex LDLᵀ.
+func factorizeComplexKernel(pat *sparse.CSR, sym *order.Symbolic, val func(p int) complex128, supernodal bool) (*ComplexFactor, error) {
+	an, err := analyze(pat, sym, supernodal)
+	if err != nil {
+		return nil, err
+	}
+	return an.FactorizeComplex(val, nil)
+}
+
 func factorAndCheck(t *testing.T, a *sparse.CSR, method order.Method) {
 	t.Helper()
 	sym := order.Analyze(a, method)
@@ -50,7 +70,7 @@ func factorAndCheck(t *testing.T, a *sparse.CSR, method order.Method) {
 	}
 	// Check L Lᵀ == Ap entrywise via dense reconstruction.
 	n := a.Rows
-	l := f.L.ToCSR().Dense()
+	l := f.l.ToCSR().Dense()
 	want := ap.Dense()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -108,7 +128,7 @@ func TestFactorizeDiagonal(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		want := math.Sqrt(float64(i + 1))
-		if got := f.L.Val[f.L.ColPtr[i]]; math.Abs(got-want) > 1e-15 {
+		if got := f.l.Val[f.l.ColPtr[i]]; math.Abs(got-want) > 1e-15 {
 			t.Errorf("L[%d][%d] = %v, want %v", i, i, got, want)
 		}
 	}
@@ -138,7 +158,7 @@ func TestLSolveLTSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcsr := f.L.ToCSR()
+	lcsr := f.l.ToCSR()
 	x := make([]float64, 15)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -218,7 +238,7 @@ func TestComplexLDLTMatchesDense(t *testing.T) {
 			j := pat.Col[p]
 			return complex(dp.At(i, j), 0) + s*complex(ep.At(i, j), 0)
 		}
-		f, err := FactorizeComplex(pat, evalAt, sym)
+		f, err := factorizeComplexKernel(pat, sym, evalAt, false)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -255,9 +275,9 @@ func TestComplexSolveDimensionMismatch(t *testing.T) {
 	}
 	pat := b.Build()
 	sym := order.Analyze(pat, order.Natural)
-	f, err := FactorizeComplex(pat, func(p int) complex128 {
+	f, err := factorizeComplexKernel(pat, sym, func(p int) complex128 {
 		return complex(pat.Val[p], 0)
-	}, sym)
+	}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

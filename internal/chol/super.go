@@ -24,12 +24,10 @@
 // k order — so the result is deterministic: bit-identical across runs
 // and at every GOMAXPROCS. Parallelism is across panels via a
 // dependency-counting task DAG (each panel fires the moment its last
-// updater completes; see DESIGN.md §10), with the legacy
-// level-by-level schedule kept behind ScheduleLevel for comparison,
-// and across right-hand sides in the blocked solves. Determinism
-// survives the out-of-order panel completion because each panel writes
-// only its own packed region in a fixed order and reads updater panels
-// only after they are final.
+// updater completes; see DESIGN.md §10) and across right-hand sides in
+// the blocked solves. Determinism survives the out-of-order panel
+// completion because each panel writes only its own packed region in a
+// fixed order and reads updater panels only after they are final.
 package chol
 
 import (
@@ -43,48 +41,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/resilience/inject"
 	"repro/internal/sparse"
-)
-
-// SupernodalMinOrder is the matrix order at and above which Factorize
-// selects the supernodal blocked kernel; below it the scalar up-looking
-// kernel wins (panel bookkeeping costs more than it saves) and keeps
-// the historical bit-exact outputs for the small golden tests. Tests
-// lower it to force the blocked path onto small matrices.
-var SupernodalMinOrder = 512
-
-// Strategy selects a factorization kernel explicitly, mainly for
-// benchmarks and cross-check tests; production callers use Factorize,
-// which picks by size.
-type Strategy int
-
-const (
-	// StrategyAuto picks the supernodal kernel for orders at or above
-	// SupernodalMinOrder and the up-looking kernel below it.
-	StrategyAuto Strategy = iota
-	// StrategyUpLooking forces the scalar up-looking kernel.
-	StrategyUpLooking
-	// StrategySupernodal forces the supernodal blocked kernel.
-	StrategySupernodal
-)
-
-// Schedule selects how the supernodal numeric factorization
-// parallelizes across panels. Both schedules run identical per-panel
-// arithmetic in identical order, so the packed factor is bit-identical
-// between them (and to a serial run) at every GOMAXPROCS; they differ
-// only in when a ready panel starts.
-type Schedule int
-
-const (
-	// ScheduleDAG (the default) fires each panel the moment its last
-	// updater descendant completes, via the dependency-counting ready
-	// queue of par.RunDAG. No level barriers: workers stay busy as long
-	// as any panel is ready.
-	ScheduleDAG Schedule = iota
-	// ScheduleLevel is the legacy elimination-tree level schedule: the
-	// panels of one level factor in parallel, with a barrier between
-	// levels. Kept for A/B benchmarking (pactbench -benchset scale) and
-	// as a determinism cross-check.
-	ScheduleLevel
 )
 
 // updEdge is one precomputed descendant→ancestor update route: rows
@@ -103,12 +59,11 @@ type updEdge struct {
 // SuperSymbolic is the supernodal extension of a symbolic analysis: the
 // supernode partition plus, per supernode, its full row list, the
 // precomputed update edges from its descendants, the scatter positions
-// of the analyzed pattern's entries into its panel, and a level
-// schedule of the supernodal elimination tree. It depends only on the
-// pattern, so one SuperSymbolic is shared by every numeric
-// factorization of that pattern — the real Cholesky, each refactorize
-// of a recovery ladder, and every frequency point of a complex LDLᵀ
-// sweep.
+// of the analyzed pattern's entries into its panel, and the panel
+// dependency DAG. It depends only on the pattern, so one SuperSymbolic
+// is shared by every numeric factorization of that pattern — the real
+// Cholesky, each refactorize of a recovery ladder, and every frequency
+// point of a complex LDLᵀ sweep.
 type SuperSymbolic struct {
 	sym *order.Symbolic
 	sn  *order.Supernodes
@@ -129,18 +84,17 @@ type SuperSymbolic struct {
 	// pattern's lower-triangle entries of s's columns into the panel:
 	// panel[slot] = val(position). Flattened as pos0, slot0, pos1, ….
 	scat [][]int32
-	// levels groups supernodes by height in the supernodal elimination
-	// tree. Every updater of s sits at a strictly lower level, so the
-	// panels within one level are independent and run in parallel. The
-	// level schedule is the legacy ScheduleLevel path; the default
-	// schedule runs on dag instead.
-	levels [][]int
 	// dag is the panel-precedence DAG: supernode s depends on exactly
 	// its updater descendants (which include its supernodal-etree
 	// children — a child's first below row is its parent column), so a
 	// panel may fire the moment its last updater completes instead of
 	// barriering on a whole level.
 	dag *par.DAG
+	// leaves counts the supernodes with no updaters: exactly the leaves
+	// of the supernodal elimination tree, its widest level (every panel
+	// at height h has a child at height h-1, and distinct panels have
+	// distinct children). It sizes the worker pool of a factorization.
+	leaves int
 	// trapNNZ counts the trapezoid entries (the "logical" factor
 	// nonzeros, structural plus amalgamation zeros); maxRows/maxWidth
 	// bound the per-worker dense scratch; edgeInts counts the int32
@@ -287,27 +241,10 @@ func AnalyzeSuper(a *sparse.CSR, sym *order.Symbolic, opt order.SupernodeOptions
 		}
 	}
 
-	// Level schedule by height in the supernodal etree. Children always
-	// have smaller indices than their parent (the parent column of a
-	// supernode's last column lies beyond it), so one ascending pass
-	// computes heights.
-	level := make([]int, ns)
-	maxLevel := -1
-	for s := 0; s < ns; s++ {
-		last := sn.Super[s+1] - 1
-		if p := sym.Parent[last]; p >= 0 {
-			ps := sn.ColToSuper[p]
-			if level[ps] < level[s]+1 {
-				level[ps] = level[s] + 1
-			}
+	for _, u := range updlist {
+		if len(u) == 0 {
+			ss.leaves++
 		}
-		if level[s] > maxLevel {
-			maxLevel = level[s]
-		}
-	}
-	ss.levels = make([][]int, maxLevel+1)
-	for s := 0; s < ns; s++ {
-		ss.levels[level[s]] = append(ss.levels[level[s]], s)
 	}
 
 	// Panel-precedence DAG from the updater lists: panel s reads exactly
@@ -380,24 +317,18 @@ func (ss *SuperSymbolic) newScratch(complexUpd bool) *superScratch {
 // symbolic structure; a must carry exactly the analyzed pattern. Panels
 // factor in parallel on the dependency DAG; all arithmetic per panel is
 // serial in fixed order, so the factor is bit-identical at every
-// GOMAXPROCS and under either schedule.
-func (ss *SuperSymbolic) Factorize(a *sparse.CSR) (*Factor, error) {
-	return ss.FactorizeOpt(a, ScheduleDAG, nil)
-}
-
-// FactorizeOpt is Factorize with an explicit panel schedule and an
-// optional workspace. A nil workspace allocates fresh storage (the
-// returned factor owns it); a non-nil workspace makes the factorization
+// GOMAXPROCS. A nil workspace allocates fresh storage (the returned
+// factor owns it); a non-nil workspace makes the factorization
 // allocation-free in steady state, and the returned factor aliases the
 // workspace — valid only until the next factorization through it (see
 // FactorWorkspace).
-func (ss *SuperSymbolic) FactorizeOpt(a *sparse.CSR, sched Schedule, ws *FactorWorkspace) (*Factor, error) {
+func (ss *SuperSymbolic) Factorize(a *sparse.CSR, ws *FactorWorkspace) (*Factor, error) {
 	n := ss.sym.N
 	if a.Rows != n || a.Cols != n {
 		return nil, fmt.Errorf("chol: supernodal factorize dimension mismatch (matrix %dx%d, symbolic %d)", a.Rows, a.Cols, n)
 	}
 	ns := ss.sn.NSuper()
-	workers := ss.maxLevelWorkers()
+	workers := par.Workers(ss.leaves)
 	sf := &superFactor{ss: ss, ws: ws}
 	var errs []error
 	var scratch []*superScratch
@@ -420,34 +351,21 @@ func (ss *SuperSymbolic) FactorizeOpt(a *sparse.CSR, sched Schedule, ws *FactorW
 		}
 		errs[s] = sf.factorPanel(a, s, scratch[w])
 	}
-	if err := ss.runSchedule(sched, ws, workers, errs, body); err != nil {
+	if err := ss.run(ws, workers, errs, body); err != nil {
 		return nil, err
 	}
-	sf.scratchBytes = ss.runBytes(scratch, sched, 8)
+	sf.scratchBytes = ss.runBytes(scratch, 8)
 	return &Factor{super: sf}, nil
 }
 
-// runSchedule executes the panel body under the chosen schedule and
-// returns the lowest-indexed panel error, if any. The DAG schedule has
-// no early exit — every panel runs even after a failure, which keeps
-// the set of executed tasks (and so the reported error) deterministic
-// under every interleaving; a failed panel's partial values are
-// themselves deterministic, so its dependents compute deterministic
-// (discarded) results. The level schedule keeps its historical
-// stop-after-failing-level behavior.
-func (ss *SuperSymbolic) runSchedule(sched Schedule, ws *FactorWorkspace, workers int, errs []error, body func(w, s int)) error {
-	if sched == ScheduleLevel {
-		for _, lvl := range ss.levels {
-			lvl := lvl
-			par.Do(workers, len(lvl), func(w, i int) { body(w, lvl[i]) })
-			for _, s := range lvl {
-				if errs[s] != nil {
-					return errs[s]
-				}
-			}
-		}
-		return nil
-	}
+// run executes the panel body on the dependency DAG and returns the
+// lowest-indexed panel error, if any. There is no early exit — every
+// panel runs even after a failure, which keeps the set of executed
+// tasks (and so the reported error) deterministic under every
+// interleaving; a failed panel's partial values are themselves
+// deterministic, so its dependents compute deterministic (discarded)
+// results.
+func (ss *SuperSymbolic) run(ws *FactorWorkspace, workers int, errs []error, body func(w, s int)) error {
 	if ws != nil {
 		par.RunDAGScratch(workers, ss.dag, ws.dagScratch(), body)
 	} else {
@@ -465,27 +383,15 @@ func (ss *SuperSymbolic) runSchedule(sched Schedule, ws *FactorWorkspace, worker
 // numeric run plus the peak per-worker solve buffers the factor's
 // multi-RHS solves will lazily create, for the Bytes memory accounting
 // (elemSize 8 for real, 16 for complex solves).
-func (ss *SuperSymbolic) runBytes(scratch []*superScratch, sched Schedule, elemSize int) int64 {
+func (ss *SuperSymbolic) runBytes(scratch []*superScratch, elemSize int) int64 {
 	var b int64
 	for _, sc := range scratch {
 		b += sc.bytes()
 	}
-	if sched == ScheduleDAG {
-		b += int64(ss.dag.Len()) * 8 // counts + ready queue
-	}
+	b += int64(ss.dag.Len()) * 8    // counts + ready queue
 	b += int64(ss.sn.NSuper()) * 16 // error slots
 	b += int64(par.Workers(ss.sn.NSuper())) * int64(ss.maxRows) * int64(elemSize)
 	return b
-}
-
-func (ss *SuperSymbolic) maxLevelWorkers() int {
-	widest := 1
-	for _, lvl := range ss.levels {
-		if len(lvl) > widest {
-			widest = len(lvl)
-		}
-	}
-	return par.Workers(widest)
 }
 
 // scatterSub subtracts the lower trapezoid of the update block C
@@ -800,24 +706,14 @@ func (sf *superComplexFactor) panel(s int) []complex128 {
 }
 
 // FactorizeComplex runs the supernodal LDLᵀ of the complex symmetric
-// matrix with the given pattern (the one this SuperSymbolic was
-// analyzed for) and entry values supplied per stored pattern position,
-// as in the package-level FactorizeComplex.
-func (ss *SuperSymbolic) FactorizeComplex(pattern *sparse.CSR, val func(p int) complex128) (*ComplexFactor, error) {
-	return ss.FactorizeComplexOpt(pattern, val, ScheduleDAG, nil)
-}
-
-// FactorizeComplexOpt is FactorizeComplex with an explicit panel
-// schedule and an optional workspace, mirroring FactorizeOpt: a
-// workspace-backed complex factor aliases the workspace and is valid
-// only until its next factorization.
-func (ss *SuperSymbolic) FactorizeComplexOpt(pattern *sparse.CSR, val func(p int) complex128, sched Schedule, ws *FactorWorkspace) (*ComplexFactor, error) {
+// matrix with the analyzed pattern and entry values supplied per stored
+// pattern position (see Analysis.FactorizeComplex). The workspace
+// contract is Factorize's: a workspace-backed complex factor aliases
+// the workspace and is valid only until its next factorization.
+func (ss *SuperSymbolic) FactorizeComplex(val func(p int) complex128, ws *FactorWorkspace) (*ComplexFactor, error) {
 	n := ss.sym.N
-	if pattern.Rows != n || pattern.Cols != n {
-		return nil, fmt.Errorf("chol: supernodal complex dimension mismatch")
-	}
 	ns := ss.sn.NSuper()
-	workers := ss.maxLevelWorkers()
+	workers := par.Workers(ss.leaves)
 	sf := &superComplexFactor{ss: ss, ws: ws}
 	var errs []error
 	var scratch []*superScratch
@@ -841,7 +737,7 @@ func (ss *SuperSymbolic) FactorizeComplexOpt(pattern *sparse.CSR, val func(p int
 		}
 		errs[s] = sf.factorPanel(val, s, scratch[w])
 	}
-	if err := ss.runSchedule(sched, ws, workers, errs, body); err != nil {
+	if err := ss.run(ws, workers, errs, body); err != nil {
 		return nil, err
 	}
 	return &ComplexFactor{super: sf}, nil

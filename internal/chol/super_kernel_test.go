@@ -14,7 +14,7 @@ import (
 // This file pins the micro-kernel rewrite of the supernodal path: the
 // blocked factorization and solves against the up-looking oracle at
 // deliberately awkward panel widths (1×1 supernodes, widths on every
-// unroll residue), the SupernodalMinOrder dispatch boundary, and the
+// unroll residue), the kernel choice of Analyze at its boundary, and the
 // bit-determinism of the complex tiled path across GOMAXPROCS.
 
 // TestOracleSupernodalPanelWidths forces panel widths onto every unroll
@@ -27,7 +27,7 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 	n := a.Rows
 	sym := order.Analyze(a, order.MinimumDegree)
 	ap := a.PermuteSym(sym.Perm)
-	fu, err := FactorizeStrategy(ap, sym, StrategyUpLooking)
+	fu, err := factorizeKernel(ap, sym, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestOracleSupernodalPanelWidths(t *testing.T) {
 		if opt.MaxWidth == 1 && ss.NSuper() != n {
 			t.Fatalf("MaxWidth 1: %d supernodes, want %d singletons", ss.NSuper(), n)
 		}
-		fs, err := ss.Factorize(ap)
+		fs, err := ss.Factorize(ap, nil)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
@@ -104,7 +104,7 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	n := 140
 	pat, sym, val := complexTestSystem(rng, n, complex(0, 37.5))
-	fu, err := FactorizeComplex(pat, val, sym)
+	fu, err := factorizeComplexKernel(pat, sym, val, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
-		fs, err := ss.FactorizeComplex(pat, val)
+		fs, err := ss.FactorizeComplex(val, nil)
 		if err != nil {
 			t.Fatalf("opt %+v: %v", opt, err)
 		}
@@ -142,34 +142,37 @@ func TestOracleSupernodalComplexTiled(t *testing.T) {
 	}
 }
 
-// TestOracleSupernodalDispatchBoundary walks the SupernodalMinOrder
-// threshold at n = 511, 512, 513: the automatic dispatch must pick the
-// up-looking kernel strictly below 512 and the blocked kernel at and
-// above it, and whichever kernel is chosen must agree with the other
-// kernel run explicitly (the oracle for the chosen one).
+// TestOracleSupernodalDispatchBoundary walks the kernel choice of
+// Analyze at n = 511, 512, 513: it must pick the up-looking kernel
+// strictly below 512 and the blocked kernel at and above it, and
+// whichever kernel is chosen must agree with the other kernel run
+// explicitly through analyze (the oracle for the chosen one).
 func TestOracleSupernodalDispatchBoundary(t *testing.T) {
-	if SupernodalMinOrder != 512 {
-		t.Fatalf("SupernodalMinOrder = %d, test assumes 512", SupernodalMinOrder)
+	if supernodalMinOrder != 512 {
+		t.Fatalf("supernodalMinOrder = %d, test assumes 512", supernodalMinOrder)
 	}
 	rng := rand.New(rand.NewSource(53))
 	for _, n := range []int{511, 512, 513} {
 		a := randomSPD(rng, n, 3*n)
 		sym := order.Analyze(a, order.MinimumDegree)
 		ap := a.PermuteSym(sym.Perm)
-		f, err := Factorize(ap, sym)
+		an, err := Analyze(ap, sym)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		wantSuper := n >= SupernodalMinOrder
+		wantSuper := n >= supernodalMinOrder
+		if gotSuper := an.ss != nil; gotSuper != wantSuper {
+			t.Fatalf("n=%d: Analyze picked supernodal=%v, want %v", n, gotSuper, wantSuper)
+		}
+		f, err := an.Factorize(ap, nil)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		if gotSuper := f.Supernodes() > 0; gotSuper != wantSuper {
-			t.Fatalf("n=%d: dispatch picked supernodal=%v, want %v", n, gotSuper, wantSuper)
+			t.Fatalf("n=%d: factor is supernodal=%v, want %v", n, gotSuper, wantSuper)
 		}
-		// The oracle is the kernel the dispatch did not choose.
-		oracleStrat := StrategySupernodal
-		if wantSuper {
-			oracleStrat = StrategyUpLooking
-		}
-		fo, err := FactorizeStrategy(ap, sym, oracleStrat)
+		// The oracle is the kernel Analyze did not choose.
+		fo, err := factorizeKernel(ap, sym, !wantSuper)
 		if err != nil {
 			t.Fatalf("n=%d: oracle kernel: %v", n, err)
 		}
@@ -213,7 +216,7 @@ func TestSupernodalComplexDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		block[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	run := func() (*superComplexFactor, []complex128) {
-		f, err := ss.FactorizeComplex(pat, val)
+		f, err := ss.FactorizeComplex(val, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,8 +52,8 @@ func denseL(f *Factor) [][]float64 {
 	}
 	if f.super == nil {
 		for j := 0; j < n; j++ {
-			for p := f.L.ColPtr[j]; p < f.L.ColPtr[j+1]; p++ {
-				l[f.L.Row[p]][j] = f.L.Val[p]
+			for p := f.l.ColPtr[j]; p < f.l.ColPtr[j+1]; p++ {
+				l[f.l.Row[p]][j] = f.l.Val[p]
 			}
 		}
 		return l
@@ -86,16 +86,16 @@ func TestSupernodalMatchesUpLooking(t *testing.T) {
 		for _, m := range []order.Method{order.Natural, order.RCM, order.MinimumDegree} {
 			sym := order.Analyze(a, m)
 			ap := a.PermuteSym(sym.Perm)
-			fs, err := FactorizeStrategy(ap, sym, StrategySupernodal)
+			fs, err := factorizeKernel(ap, sym, true)
 			if err != nil {
 				t.Fatalf("trial %d %v: supernodal: %v", trial, m, err)
 			}
-			fu, err := FactorizeStrategy(ap, sym, StrategyUpLooking)
+			fu, err := factorizeKernel(ap, sym, false)
 			if err != nil {
 				t.Fatalf("trial %d %v: up-looking: %v", trial, m, err)
 			}
 			if fs.Supernodes() == 0 || fu.Supernodes() != 0 {
-				t.Fatalf("trial %d %v: strategy dispatch wrong: %d / %d supernodes",
+				t.Fatalf("trial %d %v: kernel choice wrong: %d / %d supernodes",
 					trial, m, fs.Supernodes(), fu.Supernodes())
 			}
 			if got, want := fs.NNZ(), fu.NNZ()+fs.AmalgamatedFill(); got != want {
@@ -149,7 +149,7 @@ func TestSupernodalDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ap := a.PermuteSym(sym.Perm)
 	n := a.Rows
 	run := func() ([]float64, []float64) {
-		f, err := FactorizeStrategy(ap, sym, StrategySupernodal)
+		f, err := factorizeKernel(ap, sym, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,8 +185,8 @@ func TestSolveMultiBitIdenticalToSequential(t *testing.T) {
 	for i := range block {
 		block[i] = rng.NormFloat64()
 	}
-	for _, strat := range []Strategy{StrategyUpLooking, StrategySupernodal} {
-		f, err := FactorizeStrategy(ap, sym, strat)
+	for _, supernodal := range []bool{false, true} {
+		f, err := factorizeKernel(ap, sym, supernodal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +247,11 @@ func TestSupernodalComplexMatchesSimplicial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: AnalyzeSuper: %v", trial, err)
 		}
-		fs, err := ss.FactorizeComplex(pat, val)
+		fs, err := ss.FactorizeComplex(val, nil)
 		if err != nil {
 			t.Fatalf("trial %d: supernodal complex: %v", trial, err)
 		}
-		fu, err := FactorizeComplex(pat, val, sym)
+		fu, err := factorizeComplexKernel(pat, sym, val, false)
 		if err != nil {
 			t.Fatalf("trial %d: simplicial complex: %v", trial, err)
 		}
@@ -310,15 +310,16 @@ func TestSupernodalRejectsIndefinite(t *testing.T) {
 	}
 	a := b.Build()
 	sym := order.Analyze(a, order.Natural)
-	_, err := FactorizeStrategy(a, sym, StrategySupernodal)
+	_, err := factorizeKernel(a, sym, true)
 	if !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
-// TestFactorizeAutoDispatch checks the size threshold: small systems
-// keep the historical up-looking factor, large ones get the blocked
-// kernel, and lowering SupernodalMinOrder redirects small systems too.
+// TestFactorizeAutoDispatch checks the size choice of the one-shot
+// Factorize: a small system keeps the up-looking factor, and the
+// supernodal kernel, run on the same system explicitly through analyze,
+// reports its panel statistics.
 func TestFactorizeAutoDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	small := randomSPD(rng, 50, 150)
@@ -328,16 +329,14 @@ func TestFactorizeAutoDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f.Supernodes() != 0 {
-		t.Fatalf("order 50 took the supernodal path below threshold %d", SupernodalMinOrder)
+		t.Fatalf("order 50 took the supernodal path below threshold %d", supernodalMinOrder)
 	}
-	defer func(old int) { SupernodalMinOrder = old }(SupernodalMinOrder)
-	SupernodalMinOrder = 16
-	f, err = Factorize(small, sym)
+	f, err = factorizeKernel(small, sym, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Supernodes() == 0 {
-		t.Fatal("lowered threshold did not select the supernodal kernel")
+		t.Fatal("analyze(…, true) did not select the supernodal kernel")
 	}
 	if f.Bytes() <= 0 || f.FlopEstimate() <= 0 {
 		t.Fatalf("supernodal stats: Bytes=%d FlopEstimate=%g", f.Bytes(), f.FlopEstimate())

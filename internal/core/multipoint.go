@@ -105,39 +105,6 @@ func (t *Transformed) connectionBlock(ctx context.Context) ([][]float64, error) 
 	return out, nil
 }
 
-// alignUnionPositions maps every stored position of the union pattern to
-// the corresponding stored position in a and b (-1 where the pattern has
-// no entry) — the value-alignment idiom of the exact admittance path,
-// reused here for the shifted factorizations D + s₀E.
-func alignUnionPositions(pat, a, b *sparse.CSR) (aPos, bPos []int) {
-	aPos = make([]int, pat.NNZ())
-	bPos = make([]int, pat.NNZ())
-	for p := range aPos {
-		aPos[p] = -1
-		bPos[p] = -1
-	}
-	for i := 0; i < pat.Rows; i++ {
-		pa := a.RowPtr[i]
-		pb := b.RowPtr[i]
-		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-			j := pat.Col[p]
-			for pa < a.RowPtr[i+1] && a.Col[pa] < j {
-				pa++
-			}
-			if pa < a.RowPtr[i+1] && a.Col[pa] == j {
-				aPos[p] = pa
-			}
-			for pb < b.RowPtr[i+1] && b.Col[pb] < j {
-				pb++
-			}
-			if pb < b.RowPtr[i+1] && b.Col[pb] == j {
-				bPos[p] = pb
-			}
-		}
-	}
-	return aPos, bPos
-}
-
 // mulVecComplexReal computes dst = a·src for a real sparse matrix and a
 // complex vector.
 func mulVecComplexReal(a *sparse.CSR, dst, src []complex128) {
@@ -151,38 +118,15 @@ func mulVecComplexReal(a *sparse.CSR, dst, src []complex128) {
 	}
 }
 
-// shiftedBasisState is the shared symbolic state of the per-shift
-// factorizations: the union pattern of the permuted D and E, its
-// analysis (one symbolic shared by every shift, as in YSweep), and the
-// value alignment of both operands against the union storage.
-type shiftedBasisState struct {
-	sa         *chol.ShiftedAnalysis
-	ws         *chol.FactorWorkspace
-	dPos, ePos []int
-}
-
-// newShiftedBasisState analyzes the D/E union pattern once for all
-// shifts. The Transform-1 frame is kept (order.Natural on the already
-// permuted pattern is the identity), so candidate columns live in the
-// same coordinates as dp, ep and the connection block.
-func (t *Transformed) newShiftedBasisState() (*shiftedBasisState, error) {
-	pat := sparse.PatternUnion(t.dp, t.ep)
-	sym := order.Analyze(pat, order.Natural)
-	sa, err := chol.AnalyzeShifted(pat, sym)
-	if err != nil {
-		return nil, err
-	}
-	dPos, ePos := alignUnionPositions(pat, t.dp, t.ep)
-	return &shiftedBasisState{sa: sa, ws: sa.NewWorkspace(), dPos: dPos, ePos: ePos}, nil
-}
-
 // shiftCandidates generates the moment candidates of expansion point
 // index k at frequency f (Hz): v₀ = (D+s₀E)⁻¹P and
 // v_{j+1} = (D+s₀E)⁻¹(E v_j), returned as real columns in the fixed
 // order moment → Re by port → Im by port (the DC shift has no imaginary
-// part and reuses the real Transform-1 factor). ports[i] names the port
-// that produced column i, for the cluster-wise basis thinning.
-func (t *Transformed) shiftCandidates(sb *shiftedBasisState, k, moments int, f float64, pcols [][]float64) (cands [][]float64, ports []int, err error) {
+// part and reuses the real Transform-1 factor). The other shifts factor
+// the pencil, which shares one analysis across all of them, through the
+// workspace ws. ports[i] names the port that produced column i, for the
+// cluster-wise basis thinning.
+func (t *Transformed) shiftCandidates(pen *chol.Pencil, ws *chol.FactorWorkspace, k, moments int, f float64, pcols [][]float64) (cands [][]float64, ports []int, err error) {
 	m, n := t.M, t.N
 	if inject.Enabled && inject.ShouldFail(inject.MPShiftFactor, k) {
 		return nil, nil, fmt.Errorf("core: injected shifted factorization failure at expansion point %g Hz: %w",
@@ -214,20 +158,9 @@ func (t *Transformed) shiftCandidates(sb *shiftedBasisState, k, moments int, f f
 		}
 		return cands, ports, nil
 	}
-	sv := complex(0, 2*math.Pi*f)
-	val := func(p int) complex128 {
-		var v complex128
-		if q := sb.dPos[p]; q >= 0 {
-			v += complex(t.dp.Val[q], 0)
-		}
-		if q := sb.ePos[p]; q >= 0 {
-			v += sv * complex(t.ep.Val[q], 0)
-		}
-		return v
-	}
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	t0 := time.Now()
-	cf, err := sb.sa.Factorize(val, sb.ws)
+	cf, err := pen.Factorize(complex(0, 2*math.Pi*f), ws)
 	//lint:ignore nondet stage wall-time accounting only, never feeds numeric results
 	t.stats.Stage.ShiftFactorNs += time.Since(t0).Nanoseconds()
 	if err != nil {
@@ -387,10 +320,14 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	sb, err := t.newShiftedBasisState()
+	// The Transform-1 frame is kept (order.Natural on the already
+	// permuted pattern is the identity), so candidate columns live in the
+	// same coordinates as dp, ep and the connection block.
+	pen, err := chol.NewPencil(t.dp, t.ep, order.Natural)
 	if err != nil {
 		return nil, fmt.Errorf("core: shifted symbolic analysis: %w", err)
 	}
+	ws := pen.NewWorkspace()
 
 	// Candidate generation, shift by shift in canonical order. The
 	// degradation ladder lives here: a failed shift contributes nothing
@@ -402,7 +339,7 @@ func (t *Transformed) transform2MultiPoint(ctx context.Context, opts Options) (*
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)
 		}
-		sc, sp, serr := t.shiftCandidates(sb, k, opts.ShiftMoments, f, pcols)
+		sc, sp, serr := t.shiftCandidates(pen, ws, k, opts.ShiftMoments, f, pcols)
 		if serr != nil {
 			if resilience.IsCancellation(serr) {
 				return nil, resilience.Canceled(resilience.StageMultiPoint, ctx)

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"repro/internal/chol"
-	"repro/internal/order"
 	"repro/internal/sparse"
 )
 
@@ -38,24 +37,15 @@ type System struct {
 	Q, R *sparse.CSR // n×m connection blocks
 	D, E *sparse.CSR // n×n internal blocks
 
-	// Cached exact-evaluation state (symbolic analysis of D+sE),
-	// initialized once; Y evaluations afterwards share it read-only, so
-	// they are safe to run concurrently (see YSweep).
-	yOnce sync.Once
-	yErr  error
-	ySym  *order.Symbolic
-	yPat  *sparse.CSR
-	yDP   *sparse.CSR
-	yEP   *sparse.CSR
-	yQP   *sparse.CSR
-	yRP   *sparse.CSR
-	yDPos []int // position of each yPat entry in yDP (-1 if absent)
-	yEPos []int
-	// ySS is the supernodal symbolic structure of the union pattern (nil
-	// for small systems): analyzed once, then shared by the complex LDLᵀ
-	// of every frequency point of a sweep, so per-point work is purely
-	// numeric.
-	ySS *chol.SuperSymbolic
+	// Cached exact-evaluation state (the analyzed pencil D+sE and the
+	// permuted connection blocks), initialized once; Y evaluations
+	// afterwards share it read-only, so they are safe to run
+	// concurrently (see YSweep).
+	yOnce   sync.Once
+	yErr    error
+	yPencil *chol.Pencil
+	yQP     *sparse.CSR
+	yRP     *sparse.CSR
 }
 
 // ErrBadShape reports inconsistent block dimensions.

@@ -10,67 +10,26 @@ import (
 	"repro/internal/order"
 	"repro/internal/par"
 	"repro/internal/resilience"
-	"repro/internal/sparse"
 )
 
 // initYEval prepares the cached state for exact multiport admittance
-// evaluation: a fill-reducing ordering and symbolic factorization of the
-// pattern union of D and E (valid for D + sE at every s), the permuted
-// blocks, and value arrays aligned with the union pattern. It runs once;
-// subsequent Y evaluations only read the cache, so they may run
-// concurrently.
+// evaluation: the pencil D + sE (a fill-reducing ordering and symbolic
+// factorization of the pattern union of D and E, valid at every s) and
+// the permuted connection blocks. It runs once; subsequent Y evaluations
+// only read the cache, so they may run concurrently.
 func (s *System) initYEval() error {
 	s.yOnce.Do(func() { s.yErr = s.buildYEval() })
 	return s.yErr
 }
 
 func (s *System) buildYEval() error {
-	union := sparse.PatternUnion(s.D, s.E)
-	sym := order.Analyze(union, order.MinimumDegree)
-	dp := s.D.PermuteSym(sym.Perm)
-	ep := s.E.PermuteSym(sym.Perm)
-	pat := sparse.PatternUnion(dp, ep)
-	// Align the D and E values with the union pattern storage.
-	dPos := make([]int, pat.NNZ())
-	ePos := make([]int, pat.NNZ())
-	for p := range dPos {
-		dPos[p] = -1
-		ePos[p] = -1
+	pen, err := chol.NewPencil(s.D, s.E, order.MinimumDegree)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < s.N; i++ {
-		pd := dp.RowPtr[i]
-		pe := ep.RowPtr[i]
-		for p := pat.RowPtr[i]; p < pat.RowPtr[i+1]; p++ {
-			j := pat.Col[p]
-			for pd < dp.RowPtr[i+1] && dp.Col[pd] < j {
-				pd++
-			}
-			if pd < dp.RowPtr[i+1] && dp.Col[pd] == j {
-				dPos[p] = pd
-			}
-			for pe < ep.RowPtr[i+1] && ep.Col[pe] < j {
-				pe++
-			}
-			if pe < ep.RowPtr[i+1] && ep.Col[pe] == j {
-				ePos[p] = pe
-			}
-		}
-	}
-	s.ySym = sym
-	s.yPat = pat
-	s.yDP = dp
-	s.yEP = ep
-	s.yQP = s.Q.PermuteRows(sym.Perm).Transpose() // m×n: row i = column i of permuted Q
-	s.yRP = s.R.PermuteRows(sym.Perm).Transpose()
-	s.yDPos = dPos
-	s.yEPos = ePos
-	if s.N >= chol.SupernodalMinOrder {
-		ss, err := chol.AnalyzeSuper(pat, sym, order.SupernodeOptions{})
-		if err != nil {
-			return err
-		}
-		s.ySS = ss
-	}
+	s.yPencil = pen
+	s.yQP = s.Q.PermuteRows(pen.Perm).Transpose() // m×n: row i = column i of permuted Q
+	s.yRP = s.R.PermuteRows(pen.Perm).Transpose()
 	return nil
 }
 
@@ -110,33 +69,17 @@ func (s *System) yEval(sv complex128, ws *yWorkspace) (*dense.CMat, error) {
 	if err := s.initYEval(); err != nil {
 		return nil, err
 	}
-	val := func(p int) complex128 {
-		var v complex128
-		if q := s.yDPos[p]; q >= 0 {
-			v += complex(s.yDP.Val[q], 0)
+	// The pencil's analysis is shared by every frequency point, so each
+	// point pays only the numeric factorization — and with a sweep
+	// workspace, not even an allocation for its panels.
+	var fws *chol.FactorWorkspace
+	if ws != nil {
+		if ws.fws == nil {
+			ws.fws = s.yPencil.NewWorkspace()
 		}
-		if q := s.yEPos[p]; q >= 0 {
-			v += sv * complex(s.yEP.Val[q], 0)
-		}
-		return v
+		fws = ws.fws
 	}
-	var f *chol.ComplexFactor
-	var err error
-	if s.ySS != nil {
-		// Large system: reuse the supernodal structure analyzed once in
-		// buildYEval; each frequency point pays only the numeric panels —
-		// and with a sweep workspace, not even an allocation for those.
-		var fws *chol.FactorWorkspace
-		if ws != nil {
-			if ws.fws == nil {
-				ws.fws = s.ySS.NewWorkspace()
-			}
-			fws = ws.fws
-		}
-		f, err = s.ySS.FactorizeComplexOpt(s.yPat, val, chol.ScheduleDAG, fws)
-	} else {
-		f, err = chol.FactorizeComplex(s.yPat, val, s.ySym)
-	}
+	f, err := s.yPencil.Factorize(sv, fws)
 	if err != nil {
 		return nil, fmt.Errorf("core: factorization of D+sE at s=%v: %w", sv, err)
 	}

@@ -153,7 +153,7 @@ func TestMillionNodeClockTreeFactorizes(t *testing.T) {
 	}
 	ws := ss.NewWorkspace()
 	for pass := 0; pass < 2; pass++ {
-		f, err := ss.FactorizeOpt(dperm, chol.ScheduleDAG, ws)
+		f, err := ss.Factorize(dperm, ws)
 		if err != nil {
 			t.Fatalf("pass %d: %v", pass, err)
 		}

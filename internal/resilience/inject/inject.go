@@ -35,7 +35,7 @@ const (
 	// with the armed value (NaN or ±Inf) before the pivot test.
 	CholPoison Point = "chol.poison"
 	// CholComplexPivot forces a zero-pivot failure at step k of the
-	// complex LDLᵀ factorization (chol.FactorizeComplex).
+	// complex LDLᵀ factorization (chol.Analysis.FactorizeComplex).
 	CholComplexPivot Point = "chol.complexpivot"
 	// CholDAGTask fails the supernodal panel task for supernode s before
 	// any of its arithmetic runs, modeling a task-level fault in the
